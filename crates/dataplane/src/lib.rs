@@ -691,6 +691,46 @@ mod tests {
         }
     }
 
+    /// Packed quantized streams make every word an arbitrary bit pattern:
+    /// quiet and signalling NaNs with payloads, infinities, signed zeros and
+    /// subnormals must cross both transports, flat and coalesced, with
+    /// identical bits.
+    #[test]
+    fn arbitrary_bit_patterns_cross_both_transports() {
+        const PATTERNS: [u32; 10] = [
+            0x7fc0_0001, // quiet NaN with a payload
+            0x7f80_0001, // signalling NaN
+            0xff80_0001, // negative signalling NaN
+            0x7f80_0000, // +inf
+            0xff80_0000, // -inf
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0xdead_beef,
+        ];
+        let words = |rank: usize| -> Vec<f32> {
+            PATTERNS.iter().map(|&b| f32::from_bits(b.rotate_left(rank as u32 * 8))).collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let world = 3;
+        let want: Vec<u32> = (0..world).flat_map(|r| bits(&words(r))).collect();
+        for kind in BOTH {
+            let out = run_ranks_on(kind, world, |c| {
+                let mine = words(c.rank());
+                let flat = c.all_gather(&mine);
+                let coalesced = c.all_gather_coalesced(&[&mine, &mine[3..]]);
+                (flat, coalesced)
+            });
+            for (flat, coalesced) in &out {
+                assert_eq!(bits(flat), want, "{kind} all_gather");
+                assert_eq!(bits(&coalesced[0]), want, "{kind} coalesced part 0");
+                let tails: Vec<u32> = (0..world).flat_map(|r| bits(&words(r)[3..])).collect();
+                assert_eq!(bits(&coalesced[1]), tails, "{kind} coalesced part 1");
+            }
+        }
+    }
+
     #[test]
     fn all_gather_single_rank_is_identity() {
         for kind in BOTH {

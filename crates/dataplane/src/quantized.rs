@@ -3,12 +3,16 @@
 //! kernels, `mics-collectives::compress` the α–β prices).
 //!
 //! Every collective here moves *encoded word streams* (see
-//! `Quantized::to_words`) through the ordinary rendezvous collectives, so
-//! the failure semantics are inherited wholesale: a dead or absent rank
-//! aborts the quantized collective with the same [`CommError`] its fp32
-//! counterpart would return, and poison propagates through the same barrier
-//! state. The `try_*` variants surface that as `Result`; the plain wrappers
-//! panic like the rest of the data plane.
+//! `Quantized::to_words`) through the ordinary rendezvous collectives. The
+//! codes travel packed at their real width (four int8 codes per word), so
+//! the bytes a transport moves are the cost model's `wire_bytes` rounded up
+//! to whole words. The failure semantics are inherited wholesale: a dead or
+//! absent rank aborts the quantized collective with the same [`CommError`]
+//! its fp32 counterpart would return, and poison propagates through the
+//! same barrier state. A peer's stream that does not decode (wrong length,
+//! nonzero padding) is `CommError::Io { kind: InvalidData }`. The `try_*`
+//! variants surface errors as `Result`; the plain wrappers panic like the
+//! rest of the data plane.
 //!
 //! Two styles, mirroring ZeRO++:
 //!
@@ -19,14 +23,21 @@
 //!   quantized gather (codes are copied, never re-derived).
 //! * **qgZ (gradient reduce):** gradients must be summed, and summing codes
 //!   is meaningless — each hop dequantizes, reduces in fp32, and
-//!   requantizes for the next hop. The hierarchical
-//!   [`try_quantized_hierarchical_reduce_scatter`] performs exactly two
-//!   quantized hops (intra-node, then inter-node), which bounds the
-//!   accumulated error at 2 half-steps per element instead of `O(p)`.
+//!   requantizes for the next hop. A reduce-scatter dequantizes only the
+//!   blocks covering this rank's shard of each peer's buffer. The
+//!   hierarchical [`try_quantized_hierarchical_reduce_scatter`] performs
+//!   exactly two quantized hops (intra-node, then inter-node), which bounds
+//!   the accumulated error at 2 half-steps per element instead of `O(p)`.
 
 use crate::{CommError, Communicator};
 use mics_collectives::HierarchicalLayout;
-use mics_compress::{dequantize, quantize, QuantScheme, Quantized};
+use mics_compress::{dequantize, dequantize_range_add, quantize, QuantScheme, Quantized};
+
+/// Decode one peer's word stream; a malformed stream is corrupt peer data.
+fn decode(words: &[f32], len: usize, scheme: QuantScheme) -> Result<Quantized, CommError> {
+    Quantized::from_words(words, len, scheme)
+        .map_err(|_| CommError::Io { kind: std::io::ErrorKind::InvalidData })
+}
 
 /// Fallible quantized all-gather: every rank's `contribution` is quantized,
 /// the encoded words are gathered, and each rank dequantizes all `world`
@@ -43,7 +54,7 @@ pub fn try_quantized_all_gather(
     let per = scheme.encoded_words(len);
     let mut out = Vec::with_capacity(len * comm.world());
     for r in 0..comm.world() {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
+        let q = decode(&gathered[r * per..(r + 1) * per], len, scheme)?;
         out.extend(dequantize(&q));
     }
     Ok(out)
@@ -61,8 +72,9 @@ pub fn quantized_all_gather(
 
 /// Fallible quantized reduce-scatter over one hop: each rank quantizes its
 /// full `world × shard` buffer, the encoded words are exchanged, and each
-/// rank dequantizes every peer's copy of *its own* shard and sums in fixed
-/// rank order (deterministic, like the fp32 collective).
+/// rank dequantizes only the blocks covering *its own* shard of every
+/// peer's copy and sums in fixed rank order (deterministic, like the fp32
+/// collective).
 pub fn try_quantized_reduce_scatter(
     comm: &Communicator,
     contribution: &[f32],
@@ -82,11 +94,8 @@ pub fn try_quantized_reduce_scatter(
     let base = comm.rank() * shard;
     let mut out = vec![0.0f32; shard];
     for r in 0..world {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
-        let deq = dequantize(&q);
-        for (o, x) in out.iter_mut().zip(deq[base..base + shard].iter()) {
-            *o += *x;
-        }
+        let q = decode(&gathered[r * per..(r + 1) * per], len, scheme)?;
+        dequantize_range_add(&q, base, &mut out);
     }
     Ok(out)
 }
@@ -115,11 +124,8 @@ pub fn try_quantized_all_reduce(
     let per = scheme.encoded_words(len);
     let mut out = vec![0.0f32; len];
     for r in 0..comm.world() {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
-        let deq = dequantize(&q);
-        for (o, x) in out.iter_mut().zip(deq.iter()) {
-            *o += *x;
-        }
+        let q = decode(&gathered[r * per..(r + 1) * per], len, scheme)?;
+        dequantize_range_add(&q, 0, &mut out);
     }
     Ok(out)
 }
@@ -191,7 +197,7 @@ pub fn try_quantized_hierarchical_all_gather(
     // Dequantize the p encoded chunks into the flat fp32 result.
     let mut out = Vec::with_capacity(p * chunk);
     for r in 0..p {
-        let q = Quantized::from_words(&enc[r * cw..(r + 1) * cw], chunk, scheme);
+        let q = decode(&enc[r * cw..(r + 1) * cw], chunk, scheme)?;
         out.extend(dequantize(&q));
     }
     Ok(out)
@@ -212,11 +218,11 @@ pub fn quantized_hierarchical_all_gather(
 /// Fallible quantized hierarchical reduce-scatter — the qgZ-style 2-hop
 /// gradient reduce. Hop 1 (intra-node): each rank quantizes its `p/k`
 /// spans, the node exchanges encoded spans with one coalesced gather, and
-/// each rank dequantizes peers' contributions and reduces its interleaved
-/// chunks in fp32. Hop 2 (inter-node): the node-partial sums are
-/// *requantized* and reduced along the channel the same way. Exactly two
-/// quantized hops touch each element, so the error stays bounded by two
-/// half-steps regardless of `p`.
+/// each rank dequantizes only its own chunk of each peer's span and reduces
+/// its interleaved chunks in fp32. Hop 2 (inter-node): the node-partial
+/// sums are *requantized* and reduced along the channel the same way.
+/// Exactly two quantized hops touch each element, so the error stays
+/// bounded by two half-steps regardless of `p`.
 pub fn try_quantized_hierarchical_reduce_scatter(
     channel: &Communicator,
     node: &Communicator,
@@ -249,15 +255,8 @@ pub fn try_quantized_hierarchical_reduce_scatter(
         let mut acc = vec![0.0f32; chunk];
         let base = local * chunk;
         for peer in 0..k {
-            let q = Quantized::from_words(
-                &exchanged_span[peer * sw..(peer + 1) * sw],
-                span_len,
-                scheme,
-            );
-            let deq = dequantize(&q);
-            for (o, x) in acc.iter_mut().zip(deq[base..base + chunk].iter()) {
-                *o += *x;
-            }
+            let q = decode(&exchanged_span[peer * sw..(peer + 1) * sw], span_len, scheme)?;
+            dequantize_range_add(&q, base, &mut acc);
         }
         stage1.extend(acc);
     }
@@ -437,6 +436,16 @@ mod tests {
             run_ranks(world, move |c| quantized_all_gather(&c, &data(c.rank()), QuantScheme::F16));
         let f = run_ranks(world, move |c| c.all_gather(&data(c.rank())));
         assert_eq!(q, f);
+    }
+
+    #[test]
+    fn malformed_peer_streams_are_invalid_data() {
+        let invalid = Err(CommError::Io { kind: std::io::ErrorKind::InvalidData });
+        let scheme = QuantScheme::int8();
+        assert_eq!(decode(&[0.0; 3], 128, scheme), invalid, "wrong length");
+        let mut words = mics_compress::quantize(&payload(0, 5), scheme).to_words();
+        *words.last_mut().unwrap() = f32::from_bits(u32::MAX);
+        assert_eq!(decode(&words, 5, scheme), invalid, "nonzero padding");
     }
 
     #[test]

@@ -207,9 +207,11 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
         Ok(s) => s,
         Err(_) => return,
     });
+    // One payload buffer per connection, reused across its frames.
+    let mut buf = Vec::new();
     // The first frame must identify the rank.
-    let rank = match read_frame(&mut reader) {
-        Ok(Frame::Hello { rank, .. }) => rank,
+    let rank = match read_frame(&mut reader, &mut buf) {
+        Ok((Frame::Hello { rank, .. }, _)) => rank,
         _ => {
             stream.shutdown();
             return;
@@ -242,12 +244,12 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
         .expect("cannot spawn hub writer thread");
     let mut clean_bye = false;
     loop {
-        match read_frame(&mut reader) {
-            Ok(Frame::Bye) => {
+        match read_frame(&mut reader, &mut buf) {
+            Ok((Frame::Bye, _)) => {
                 clean_bye = true;
                 break;
             }
-            Ok(frame) => {
+            Ok((frame, _)) => {
                 *lock(&handle.last_seen) = Instant::now();
                 if state.on_frame(rank, frame).is_err() {
                     break;

@@ -378,24 +378,36 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Read one frame off `r`, blocking. An EOF at a frame boundary surfaces as
-/// `UnexpectedEof`.
-pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
-    read_frame_sized(r).map(|(frame, _)| frame)
-}
+/// A connection's read buffer starts this large; see [`read_frame`].
+const FIRST_READ: usize = 4096;
 
-/// [`read_frame`] plus the wire size consumed (payload + 4-byte prefix),
-/// for the receive-byte counters.
-pub(crate) fn read_frame_sized(r: &mut impl Read) -> std::io::Result<(Frame, u64)> {
+/// Read one frame off `r`, blocking, and return it with the wire size
+/// consumed (payload + 4-byte prefix) for the receive-byte counters. An EOF
+/// at a frame boundary surfaces as `UnexpectedEof`.
+///
+/// `buf` is the connection's payload buffer, reused across frames: it keeps
+/// the size of the largest frame so far, so steady-state traffic reads
+/// straight into it without allocating. It grows only as bytes arrive — to
+/// at most twice what this frame has delivered, or [`FIRST_READ`] — so a
+/// length prefix alone cannot make the reader allocate [`MAX_FRAME`] bytes.
+pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<(Frame, u64)> {
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let len = u32::from_le_bytes(len4) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(bad_wire(format!("bad frame length {len}")));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut c = Cursor { buf: &payload, pos: 0 };
+    let mut filled = 0;
+    while filled < len {
+        if buf.len() == filled {
+            buf.resize((2 * filled).max(FIRST_READ).min(len), 0);
+        }
+        let end = buf.len().min(len);
+        r.read_exact(&mut buf[filled..end])?;
+        filled = end;
+    }
+    let payload = &buf[..len];
+    let mut c = Cursor { buf: payload, pos: 0 };
     let frame = match c.u8()? {
         1 => Frame::Hello { rank: c.u64()?, world: c.u64()? },
         2 => Frame::Exchange {
@@ -591,8 +603,9 @@ impl Drop for Endpoint {
 }
 
 fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
+    let mut buf = Vec::new();
     loop {
-        let (frame, nbytes) = match read_frame_sized(&mut stream) {
+        let (frame, nbytes) = match read_frame(&mut stream, &mut buf) {
             Ok(f) => f,
             Err(e) => {
                 if let Some(ep) = ep.upgrade() {
@@ -962,7 +975,7 @@ mod tests {
         for frame in frames {
             let bytes = encode_frame(&frame);
             let mut r = &bytes[..];
-            let back = read_frame(&mut r).expect("decode");
+            let (back, _) = read_frame(&mut r, &mut Vec::new()).expect("decode");
             // Compare bit patterns (NaN payloads must survive the wire).
             assert_eq!(format!("{back:?}"), format!("{frame:?}"));
             assert!(r.is_empty(), "frame must consume all bytes");
@@ -981,7 +994,7 @@ mod tests {
         let frame =
             Frame::Exchange { group: 0, seq: 0, world: 1, member: 0, parts: vec![words.clone()] };
         let mut r = &encode_frame(&frame)[..];
-        match read_frame(&mut r).unwrap() {
+        match read_frame(&mut r, &mut Vec::new()).unwrap().0 {
             Frame::Exchange { parts, .. } => {
                 let got: Vec<u32> = parts[0].iter().map(|x| x.to_bits()).collect();
                 let want: Vec<u32> = words.iter().map(|x| x.to_bits()).collect();
@@ -995,12 +1008,43 @@ mod tests {
     fn truncated_and_oversized_frames_are_rejected() {
         let bytes = encode_frame(&Frame::Hello { rank: 1, world: 2 });
         let mut r = &bytes[..bytes.len() - 3];
-        assert!(read_frame(&mut r).is_err(), "truncated payload must fail");
+        assert!(read_frame(&mut r, &mut Vec::new()).is_err(), "truncated payload must fail");
 
         let mut huge = Vec::new();
         huge.extend_from_slice(&(u32::MAX).to_le_bytes());
         let mut r = &huge[..];
-        assert!(read_frame(&mut r).is_err(), "absurd length prefix must fail");
+        assert!(read_frame(&mut r, &mut Vec::new()).is_err(), "absurd length prefix must fail");
+    }
+
+    #[test]
+    fn read_buffer_grows_only_as_bytes_arrive_and_is_reused() {
+        // A length prefix claiming MAX_FRAME followed by 100 bytes must not
+        // allocate for the claim.
+        let mut lie = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        lie.extend_from_slice(&[2u8; 100]);
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut &lie[..], &mut buf).is_err(), "short body must fail");
+        assert!(buf.len() <= FIRST_READ, "grew to {} bytes for 100 received", buf.len());
+
+        // Frames of different sizes decode from one buffer; a small frame
+        // after a large one sees none of the large one's stale bytes.
+        let big = Frame::Exchange {
+            group: 1,
+            seq: 2,
+            world: 2,
+            member: 0,
+            parts: vec![(0..10_000).map(|i| i as f32).collect()],
+        };
+        let small = Frame::Hello { rank: 1, world: 2 };
+        let frames = [big.clone(), small, big];
+        let bytes: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        let mut r = &bytes[..];
+        for want in &frames {
+            let (got, n) = read_frame(&mut r, &mut buf).expect("decode");
+            assert_eq!(&got, want);
+            assert_eq!(n, encode_frame(want).len() as u64);
+        }
+        assert!(r.is_empty());
     }
 
     #[test]

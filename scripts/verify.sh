@@ -13,6 +13,11 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench is a package of its own (outside the workspace), so the
+# workspace run above does not reach its tests.
+echo "==> cargo test -q --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
