@@ -131,8 +131,11 @@ impl std::fmt::Display for Json {
 impl Json {
     /// Parse a JSON document (the inverse of [`Json::pretty`], accepting
     /// any whitespace). Errors carry the byte offset of the problem.
+    /// Arrays and objects nest at most [`MAX_DEPTH`] deep: the parser
+    /// recurses once per level, so an untrusted document must not choose
+    /// the depth.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -175,6 +178,10 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest in a document [`Json::parse`]
+/// accepts; far beyond any document this workspace writes.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -195,6 +202,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -232,8 +241,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -461,6 +477,18 @@ impl ToJson for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).unwrap_err().message.contains("nesting"));
+        // Unclosed, a million deep: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+    }
 
     #[test]
     fn pretty_output_shape() {

@@ -6,8 +6,9 @@
 //! 3-stage hierarchical all-gather of §3.3 and the coalesced communication
 //! APIs of §4 — are executed and tested for real, not merely cost-modelled.
 //! Every collective lowers to one transport primitive (a sequenced
-//! exchange: deposit a batch, receive every member's batch in rank order),
-//! and the [`transport`] layer provides two implementations:
+//! exchange: deposit a batch, receive every member's batch in rank order —
+//! or, for reduce-scatters, only the parts addressed to this rank), and
+//! the [`transport`] layer provides two implementations:
 //!
 //! * **local** — each simulated device is an OS thread; the rendezvous is a
 //!   shared-memory barrier. This is [`Communicator::create_world`] /
@@ -79,6 +80,8 @@ use std::time::Duration;
 
 pub mod hierarchical;
 pub mod nonblocking;
+#[cfg(test)]
+mod oracle;
 pub mod quantized;
 pub mod transport;
 
@@ -316,25 +319,33 @@ impl Communicator {
             contribution.len()
         );
         let shard = contribution.len() / world;
-        let all = self.backend.exchange(self.rank, &[contribution])?;
+        let parts: Vec<&[f32]> =
+            (0..world).map(|j| &contribution[j * shard..(j + 1) * shard]).collect();
+        let mine = self.try_exchange_routed(&parts)?;
         let mut out = vec![0.0f32; shard];
-        let base = self.rank * shard;
-        for batch in &all {
-            let s = batch.first().expect("missing contribution");
-            assert_eq!(s.len(), contribution.len(), "mismatched lengths");
-            for i in 0..shard {
-                out[i] += s[base + i];
+        for s in &mine {
+            assert_eq!(s.len(), shard, "mismatched lengths");
+            for (o, x) in out.iter_mut().zip(s) {
+                *o += *x;
             }
         }
         Ok(out)
     }
 
+    /// A routed exchange: `parts[j]` (one per member) is delivered to
+    /// member `j` only. Returns the parts addressed to this rank, one per
+    /// member in member order; this rank's own part never leaves it.
+    pub(crate) fn try_exchange_routed(&self, parts: &[&[f32]]) -> Result<Vec<Vec<f32>>, CommError> {
+        self.backend.exchange_routed(self.rank, parts)
+    }
+
     /// Reduce (sum) equal-length contributions of `world × shard` elements
     /// and scatter: rank `r` receives the reduced shard `r`.
     ///
-    /// The fold is in fixed rank order on the rank side of the transport,
-    /// so results are deterministic and identical across ranks — and across
-    /// transports.
+    /// Each rank ships every peer only that peer's shard (a routed
+    /// exchange), and the fold is in fixed rank order on the rank side of
+    /// the transport, so results are deterministic and identical across
+    /// ranks — and across transports.
     pub fn reduce_scatter(&self, contribution: &[f32]) -> Vec<f32> {
         self.try_reduce_scatter(contribution).unwrap_or_else(|e| panic!("collective aborted: {e}"))
     }
@@ -414,21 +425,31 @@ impl Communicator {
                 p.len()
             );
         }
-        let all = self.backend.exchange(self.rank, parts)?;
-        let nparts = all[0].len();
-        let mut out = Vec::with_capacity(nparts);
-        for part in 0..nparts {
-            let full = all[0][part].len();
-            let shard = full / world;
-            let base = self.rank * shard;
-            let mut buf = vec![0.0f32; shard];
-            for batch in &all {
-                assert_eq!(batch[part].len(), full, "part {part} length mismatch");
-                for i in 0..shard {
-                    buf[i] += batch[part][base + i];
+        // Member j receives the concatenation of its shard of every part.
+        let shards: Vec<usize> = parts.iter().map(|p| p.len() / world).collect();
+        let total: usize = shards.iter().sum();
+        let outgoing: Vec<Vec<f32>> = (0..world)
+            .map(|j| {
+                let mut buf = Vec::with_capacity(total);
+                for (p, &shard) in parts.iter().zip(&shards) {
+                    buf.extend_from_slice(&p[j * shard..(j + 1) * shard]);
                 }
+                buf
+            })
+            .collect();
+        let refs: Vec<&[f32]> = outgoing.iter().map(Vec::as_slice).collect();
+        let mine = self.try_exchange_routed(&refs)?;
+        let mut out: Vec<Vec<f32>> = shards.iter().map(|&shard| vec![0.0f32; shard]).collect();
+        for (r, received) in mine.iter().enumerate() {
+            assert_eq!(received.len(), total, "rank {r} batched a different shape");
+            let mut at = 0;
+            for buf in &mut out {
+                let n = buf.len();
+                for (o, x) in buf.iter_mut().zip(&received[at..at + n]) {
+                    *o += *x;
+                }
+                at += n;
             }
-            out.push(buf);
         }
         Ok(out)
     }

@@ -23,20 +23,40 @@
 //!   quantized gather (codes are copied, never re-derived).
 //! * **qgZ (gradient reduce):** gradients must be summed, and summing codes
 //!   is meaningless — each hop dequantizes, reduces in fp32, and
-//!   requantizes for the next hop. A reduce-scatter dequantizes only the
-//!   blocks covering this rank's shard of each peer's buffer. The
-//!   hierarchical [`try_quantized_hierarchical_reduce_scatter`] performs
-//!   exactly two quantized hops (intra-node, then inter-node), which bounds
-//!   the accumulated error at 2 half-steps per element instead of `O(p)`.
+//!   requantizes for the next hop. A reduce-scatter is a routed exchange:
+//!   each rank quantizes, per destination, only the blocks covering that
+//!   destination's shard and sends them to it alone. Blocks are quantized
+//!   independently, so those are exactly the codes and scales quantizing
+//!   the whole buffer gives, and the result is bit-identical to gathering
+//!   every encoded buffer. The hierarchical
+//!   [`try_quantized_hierarchical_reduce_scatter`] performs exactly two
+//!   quantized hops (intra-node, then inter-node), which bounds the
+//!   accumulated error at 2 half-steps per element instead of `O(p)`.
 
 use crate::{CommError, Communicator};
 use mics_collectives::HierarchicalLayout;
 use mics_compress::{dequantize, dequantize_range_add, quantize, QuantScheme, Quantized};
+use std::ops::Range;
 
 /// Decode one peer's word stream; a malformed stream is corrupt peer data.
-fn decode(words: &[f32], len: usize, scheme: QuantScheme) -> Result<Quantized, CommError> {
+pub(crate) fn decode(
+    words: &[f32],
+    len: usize,
+    scheme: QuantScheme,
+) -> Result<Quantized, CommError> {
     Quantized::from_words(words, len, scheme)
         .map_err(|_| CommError::Io { kind: std::io::ErrorKind::InvalidData })
+}
+
+/// The block-aligned range of a `len`-element buffer whose blocks cover
+/// `range`. Blocks are quantized independently from the buffer's start, so
+/// quantizing only this range yields exactly the codes and scales its
+/// blocks get when the whole buffer is quantized.
+fn covering(range: Range<usize>, len: usize, scheme: QuantScheme) -> Range<usize> {
+    match scheme.block() {
+        None => range,
+        Some(b) => range.start / b * b..(range.end.div_ceil(b) * b).min(len),
+    }
 }
 
 /// Fallible quantized all-gather: every rank's `contribution` is quantized,
@@ -70,11 +90,11 @@ pub fn quantized_all_gather(
         .unwrap_or_else(|e| panic!("collective aborted: {e}"))
 }
 
-/// Fallible quantized reduce-scatter over one hop: each rank quantizes its
-/// full `world × shard` buffer, the encoded words are exchanged, and each
-/// rank dequantizes only the blocks covering *its own* shard of every
-/// peer's copy and sums in fixed rank order (deterministic, like the fp32
-/// collective).
+/// Fallible quantized reduce-scatter over one hop: each rank quantizes,
+/// for every member, the blocks covering that member's shard of its
+/// `world × shard` buffer and sends them to that member alone; each rank
+/// dequantizes its shard of every peer's blocks and sums in fixed rank
+/// order (deterministic, like the fp32 collective).
 pub fn try_quantized_reduce_scatter(
     comm: &Communicator,
     contribution: &[f32],
@@ -88,14 +108,16 @@ pub fn try_quantized_reduce_scatter(
     );
     let len = contribution.len();
     let shard = len / world;
-    let words = quantize(contribution, scheme).to_words();
-    let gathered = comm.try_all_gather(&words)?;
-    let per = scheme.encoded_words(len);
-    let base = comm.rank() * shard;
+    let cover = |j: usize| covering(j * shard..(j + 1) * shard, len, scheme);
+    let outgoing: Vec<Vec<f32>> =
+        (0..world).map(|j| quantize(&contribution[cover(j)], scheme).to_words()).collect();
+    let refs: Vec<&[f32]> = outgoing.iter().map(Vec::as_slice).collect();
+    let received = comm.try_exchange_routed(&refs)?;
+    let mine = cover(comm.rank());
     let mut out = vec![0.0f32; shard];
-    for r in 0..world {
-        let q = decode(&gathered[r * per..(r + 1) * per], len, scheme)?;
-        dequantize_range_add(&q, base, &mut out);
+    for words in &received {
+        let q = decode(words, mine.len(), scheme)?;
+        dequantize_range_add(&q, comm.rank() * shard - mine.start, &mut out);
     }
     Ok(out)
 }
@@ -217,10 +239,10 @@ pub fn quantized_hierarchical_all_gather(
 
 /// Fallible quantized hierarchical reduce-scatter — the qgZ-style 2-hop
 /// gradient reduce. Hop 1 (intra-node): each rank quantizes its `p/k`
-/// spans, the node exchanges encoded spans with one coalesced gather, and
-/// each rank dequantizes only its own chunk of each peer's span and reduces
-/// its interleaved chunks in fp32. Hop 2 (inter-node): the node-partial
-/// sums are *requantized* and reduced along the channel the same way.
+/// spans, sends every node peer only the blocks covering that peer's chunk
+/// of each span (one routed exchange), and reduces its interleaved chunks
+/// in fp32. Hop 2 (inter-node): the node-partial sums are *requantized*
+/// and reduced along the channel the same way.
 /// Exactly two quantized hops touch each element, so the error stays
 /// bounded by two half-steps regardless of `p`.
 pub fn try_quantized_hierarchical_reduce_scatter(
@@ -238,27 +260,39 @@ pub fn try_quantized_hierarchical_reduce_scatter(
     let k = layout.per_node();
     let local = node.rank();
 
-    // Hop 1: quantize each k-chunk span, exchange within the node with one
-    // coalesced gather of encoded spans, dequantize-reduce this rank's
-    // interleaved chunk of each span.
+    // Hop 1: node peer `d` receives, for every k-chunk span, the encoded
+    // blocks covering its chunk `d` of the span (spans are quantized
+    // independently, so the covering range is relative to the span), and
+    // dequantize-reduces them into its interleaved chunks.
+    let nodes = layout.nodes();
     let span_len = k * chunk;
-    let sw = scheme.encoded_words(span_len);
-    let spans: Vec<Vec<f32>> = (0..layout.nodes())
-        .map(|j| quantize(&full[j * span_len..(j + 1) * span_len], scheme).to_words())
+    let cover = |d: usize| covering(d * chunk..(d + 1) * chunk, span_len, scheme);
+    let outgoing: Vec<Vec<f32>> = (0..k)
+        .map(|d| {
+            let range = cover(d);
+            let mut words = Vec::with_capacity(nodes * scheme.encoded_words(range.len()));
+            for j in 0..nodes {
+                let span = &full[j * span_len..(j + 1) * span_len];
+                words.extend(quantize(&span[range.clone()], scheme).to_words());
+            }
+            words
+        })
         .collect();
-    let span_refs: Vec<&[f32]> = spans.iter().map(|s| s.as_slice()).collect();
-    let exchanged = node.try_all_gather_coalesced(&span_refs)?;
+    let refs: Vec<&[f32]> = outgoing.iter().map(Vec::as_slice).collect();
+    let received = node.try_exchange_routed(&refs)?;
 
-    let mut stage1 = Vec::with_capacity(layout.nodes() * chunk);
-    for exchanged_span in exchanged.iter() {
-        debug_assert_eq!(exchanged_span.len(), k * sw);
-        let mut acc = vec![0.0f32; chunk];
-        let base = local * chunk;
-        for peer in 0..k {
-            let q = decode(&exchanged_span[peer * sw..(peer + 1) * sw], span_len, scheme)?;
-            dequantize_range_add(&q, base, &mut acc);
+    let mine = cover(local);
+    let per = scheme.encoded_words(mine.len());
+    let mut stage1 = vec![0.0f32; nodes * chunk];
+    for words in &received {
+        if words.len() != nodes * per {
+            return Err(CommError::Io { kind: std::io::ErrorKind::InvalidData });
         }
-        stage1.extend(acc);
+        for j in 0..nodes {
+            let q = decode(&words[j * per..(j + 1) * per], mine.len(), scheme)?;
+            let acc = &mut stage1[j * chunk..(j + 1) * chunk];
+            dequantize_range_add(&q, local * chunk - mine.start, acc);
+        }
     }
 
     // Hop 2: requantize the node-partial sums and reduce-scatter them along
@@ -446,6 +480,36 @@ mod tests {
         let mut words = mics_compress::quantize(&payload(0, 5), scheme).to_words();
         *words.last_mut().unwrap() = f32::from_bits(u32::MAX);
         assert_eq!(decode(&words, 5, scheme), invalid, "nonzero padding");
+
+        // A routed frame must carry one part per member. A peer that sends
+        // three parts to a group of two poisons the group with a typed
+        // error: the sender is told so, and the member that joins the
+        // exchange afterwards fails with the same error instead of waiting
+        // out its deadline.
+        with_deadline(Duration::from_secs(20), move || {
+            use crate::transport::socket::{encode_exchange, read_frame, Frame, Route};
+            let invalid = CommError::Io { kind: std::io::ErrorKind::InvalidData };
+            use crate::transport::{connect_world, Hub, SocketWorldConfig};
+            use std::io::Write;
+            let hub = Hub::spawn("127.0.0.1:0").expect("hub");
+            let mut raw = std::net::TcpStream::connect(hub.addr()).expect("connect");
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let hello = crate::transport::socket::encode_frame(&Frame::Hello { rank: 0, world: 2 });
+            let parts: [&[f32]; 3] = [&[], &[1.0], &[2.0]];
+            raw.write_all(&hello).unwrap();
+            raw.write_all(&encode_exchange(0, 0, 2, 0, Route::Routed, &parts)).unwrap();
+            match read_frame(&mut raw, &mut Vec::new()).expect("the hub answers") {
+                (Frame::GroupPoison { group: 0, err }, _) => assert_eq!(err, invalid, "sender"),
+                (other, _) => panic!("expected a group poison, got {other:?}"),
+            }
+            let mut cfg = SocketWorldConfig::new(hub.addr(), 1, 2);
+            cfg.timeout = Duration::from_secs(10);
+            let peer = connect_world(cfg).expect("peer connects");
+            let data = payload(1, 256);
+            assert_eq!(peer.try_reduce_scatter(&data), Err(invalid), "peer, fp32");
+            let quantized = try_quantized_reduce_scatter(&peer, &data, scheme);
+            assert_eq!(quantized, Err(invalid), "peer, int8");
+        });
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! A [`Hub`] is the star center every rank process connects to. It holds no
 //! collective semantics at all: it matches the `world` halves of each
-//! `(group, seq)` exchange and answers every member with all members'
-//! batches in member order. Folds, layouts, and shape checks all stay
-//! rank-side, which is what keeps socket results bit-identical to the
-//! shared-memory transport.
+//! `(group, seq)` exchange and answers every member in member order — with
+//! all members' batches (a broadcast exchange, whose reply is encoded once
+//! and shared by every member's writer), or with only the parts addressed
+//! to that member (a routed exchange). Folds, layouts, and shape checks
+//! all stay rank-side, which is what keeps socket results bit-identical to
+//! the shared-memory transport. A routed frame that does not carry one
+//! part per member poisons its group with `Io(InvalidData)`.
 //!
 //! What the hub *does* own is failure detection and propagation:
 //!
@@ -27,7 +30,10 @@
 //! wedged receiver exerts backpressure on the hub instead of ballooning
 //! its memory, and the heartbeat sweeper reaps it if it stays silent.
 
-use super::socket::{encode_frame, read_frame, Frame, Stream};
+use super::socket::{
+    encode_frame, encode_reply, encode_routed_reply, read_frame, Frame, Route, Stream,
+};
+use super::Parts;
 use crate::{lock, CommError};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
@@ -49,27 +55,35 @@ pub const DEFAULT_HUB_GRACE: Duration = Duration::from_secs(5);
 /// One member's half of a pending exchange: who to answer, and with what.
 struct Half {
     conn: u64,
-    parts: Vec<Vec<f32>>,
+    parts: Parts,
 }
 
 /// An exchange the hub is holding until all `world` members arrive.
 struct PendingExchange {
     world: usize,
+    route: Route,
     by_member: BTreeMap<u64, Half>,
 }
 
+/// An encoded frame, shared by every writer it is queued on.
+type Bytes = Arc<Vec<u8>>;
+
 struct ConnHandle {
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Bytes>,
     stream: Stream,
     last_seen: Mutex<Instant>,
 }
 
 impl ConnHandle {
-    /// Queue a frame; a full queue blocks briefly, then the connection is
-    /// declared wedged and cut (backpressure with an upper bound, so one
-    /// stuck receiver cannot wedge the whole hub).
     fn send(&self, frame: &Frame) {
-        match self.tx.try_send(encode_frame(frame)) {
+        self.send_bytes(Arc::new(encode_frame(frame)));
+    }
+
+    /// Queue an encoded frame; a full queue blocks briefly, then the
+    /// connection is declared wedged and cut (backpressure with an upper
+    /// bound, so one stuck receiver cannot wedge the whole hub).
+    fn send_bytes(&self, bytes: Bytes) {
+        match self.tx.try_send(bytes) {
             Ok(()) => {}
             Err(TrySendError::Full(buf)) => {
                 if self.tx.send(buf).is_err() {
@@ -97,8 +111,27 @@ struct HubState {
 
 impl HubState {
     fn broadcast(&self, frame: &Frame) {
+        let bytes = Arc::new(encode_frame(frame));
         for conn in lock(&self.conns).values() {
-            conn.send(frame);
+            conn.send_bytes(Arc::clone(&bytes));
+        }
+    }
+
+    /// Poison `group` hub-wide with `err` and wake every member already
+    /// held on it.
+    fn poison_group(&self, group: u64, err: CommError) {
+        lock(&self.groups).insert(group, Some(err));
+        let mut pending = lock(&self.pending);
+        let dead: Vec<(u64, u64)> = pending.keys().filter(|(g, _)| *g == group).copied().collect();
+        let conns = lock(&self.conns);
+        for key in dead {
+            if let Some(p) = pending.remove(&key) {
+                for half in p.by_member.values() {
+                    if let Some(conn) = conns.get(&half.conn) {
+                        conn.send(&Frame::GroupPoison { group, err });
+                    }
+                }
+            }
         }
     }
 
@@ -124,9 +157,38 @@ impl HubState {
         }
     }
 
+    /// Answer a completed exchange. A broadcast reply is encoded once and
+    /// the same bytes are queued on every member's writer; a routed reply
+    /// carries, for each member, only the parts addressed to it.
+    fn answer(&self, group: u64, seq: u64, done: PendingExchange) {
+        // Members are exactly 0..world (validated on arrival), so the map
+        // order is member order.
+        let replies: Vec<(u64, Bytes)> = match done.route {
+            Route::Broadcast => {
+                let all: Vec<&Parts> = done.by_member.values().map(|h| &h.parts).collect();
+                let reply = Arc::new(encode_reply(group, seq, &all));
+                done.by_member.values().map(|h| (h.conn, Arc::clone(&reply))).collect()
+            }
+            Route::Routed => (0..done.world)
+                .zip(done.by_member.values())
+                .map(|(j, half)| {
+                    let mine: Vec<&[f32]> =
+                        done.by_member.values().map(|h| h.parts[j].as_slice()).collect();
+                    (half.conn, Arc::new(encode_routed_reply(group, seq, &mine)))
+                })
+                .collect(),
+        };
+        let conns = lock(&self.conns);
+        for (conn, reply) in replies {
+            if let Some(conn) = conns.get(&conn) {
+                conn.send_bytes(reply);
+            }
+        }
+    }
+
     fn on_frame(&self, rank: u64, frame: Frame) -> std::io::Result<()> {
         match frame {
-            Frame::Exchange { group, seq, world, member, parts } => {
+            Frame::Exchange { group, seq, world, member, route, parts } => {
                 let reply_err = {
                     let mut groups = lock(&self.groups);
                     *groups.entry(group).or_insert(None)
@@ -137,47 +199,37 @@ impl HubState {
                     }
                     return Ok(());
                 }
-                let completed = {
-                    let mut pending = lock(&self.pending);
-                    let entry = pending.entry((group, seq)).or_insert_with(|| PendingExchange {
-                        world: world as usize,
-                        by_member: BTreeMap::new(),
-                    });
-                    entry.by_member.insert(member, Half { conn: rank, parts });
-                    if entry.by_member.len() == entry.world {
-                        pending.remove(&(group, seq))
-                    } else {
-                        None
-                    }
-                };
-                if let Some(done) = completed {
-                    let all: Vec<Vec<Vec<f32>>> =
-                        done.by_member.values().map(|h| h.parts.clone()).collect();
-                    let reply = Frame::Reply { group, seq, all };
-                    let conns = lock(&self.conns);
-                    for half in done.by_member.values() {
-                        if let Some(conn) = conns.get(&half.conn) {
-                            conn.send(&reply);
-                        }
-                    }
-                }
-            }
-            Frame::Abort { group, err } => {
-                lock(&self.groups).insert(group, Some(err));
+                let world = world as usize;
                 let mut pending = lock(&self.pending);
-                let dead: Vec<(u64, u64)> =
-                    pending.keys().filter(|(g, _)| *g == group).copied().collect();
-                let conns = lock(&self.conns);
-                for key in dead {
-                    if let Some(p) = pending.remove(&key) {
-                        for half in p.by_member.values() {
-                            if let Some(conn) = conns.get(&half.conn) {
-                                conn.send(&Frame::GroupPoison { group, err });
-                            }
-                        }
+                let entry = pending.entry((group, seq)).or_insert_with(|| PendingExchange {
+                    world,
+                    route,
+                    by_member: BTreeMap::new(),
+                });
+                // Members that disagree on the exchange's shape, or a routed
+                // batch without one part per member, cannot be answered: the
+                // group fails with a typed error (which also drops `entry`).
+                if member >= world as u64
+                    || (route == Route::Routed && parts.len() != world)
+                    || (entry.world, entry.route) != (world, route)
+                    || entry.by_member.contains_key(&member)
+                {
+                    drop(pending);
+                    let err = CommError::Io { kind: std::io::ErrorKind::InvalidData };
+                    self.poison_group(group, err);
+                    if let Some(conn) = lock(&self.conns).get(&rank) {
+                        conn.send(&Frame::GroupPoison { group, err });
                     }
+                    return Ok(());
+                }
+                entry.by_member.insert(member, Half { conn: rank, parts });
+                if entry.by_member.len() == world {
+                    let done = pending.remove(&(group, seq)).expect("the entry just completed");
+                    drop(pending);
+                    self.answer(group, seq, done);
                 }
             }
+            Frame::Abort { group, err } => self.poison_group(group, err),
             Frame::Failed { rank } => {
                 self.world_failure(CommError::RankFailed { rank: rank as usize });
             }
@@ -217,7 +269,7 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
             return;
         }
     };
-    let (tx, rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_DEPTH);
+    let (tx, rx) = sync_channel::<Bytes>(SEND_QUEUE_DEPTH);
     let handle = Arc::new(ConnHandle { tx, stream, last_seen: Mutex::new(Instant::now()) });
     lock(&state.conns).insert(rank, Arc::clone(&handle));
     // A crash can beat a slow-starting peer's registration: deliver any
@@ -233,7 +285,7 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
             let mut out = write_half;
             let mut dead = false;
             while let Ok(buf) = rx.recv() {
-                if !dead && std::io::Write::write_all(&mut out, &buf).is_err() {
+                if !dead && std::io::Write::write_all(&mut out, buf.as_slice()).is_err() {
                     dead = true;
                 }
                 if !dead && std::io::Write::flush(&mut out).is_err() {

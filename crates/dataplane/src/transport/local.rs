@@ -157,6 +157,32 @@ impl Inner {
         Ok(all)
     }
 
+    /// The routed exchange: deposit one part per member (an empty
+    /// placeholder for this rank's own), rendezvous, take out the part each
+    /// member addressed to this rank — no other rank reads it, so it moves
+    /// rather than copies — and rendezvous again.
+    pub(crate) fn exchange_routed(
+        &self,
+        rank: usize,
+        parts: &[&[f32]],
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        lock(&self.slots)[rank] = parts
+            .iter()
+            .enumerate()
+            .map(|(j, p)| if j == rank { Vec::new() } else { p.to_vec() })
+            .collect();
+        self.barrier()?;
+        let mut mine: Vec<Vec<f32>> = lock(&self.slots)
+            .iter_mut()
+            .map(|batch| {
+                std::mem::take(batch.get_mut(rank).expect("routed batch without a part per member"))
+            })
+            .collect();
+        mine[rank] = parts[rank].to_vec();
+        self.barrier()?;
+        Ok(mine)
+    }
+
     /// First caller creates the child group's shared state; later callers
     /// (the other member ranks) fetch the same `Arc`.
     pub(crate) fn child(self: &Arc<Self>, key: ChildKey, world: usize) -> Arc<Inner> {

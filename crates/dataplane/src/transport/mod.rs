@@ -2,9 +2,10 @@
 //!
 //! The [`crate::Communicator`] API is transport-agnostic. Every collective
 //! lowers to one primitive — a **sequenced exchange** in which each member
-//! deposits a batch of `f32` buffers and receives every member's batch in
-//! rank order — plus a barrier and group creation (split / shrink). Two
-//! implementations stand behind that contract:
+//! deposits a batch of `f32` buffers and receives, in rank order, either
+//! every member's whole batch (a broadcast exchange) or only the parts
+//! addressed to it (a routed exchange) — plus a barrier and group creation
+//! (split / shrink). Two implementations stand behind that contract:
 //!
 //! * `local` — the original shared-memory rendezvous: ranks are threads of
 //!   one process, deposits go through in-process slots, and failure
@@ -29,7 +30,9 @@ pub(crate) mod local;
 pub mod socket;
 
 pub use hub::Hub;
-pub use socket::{connect_world, socket_counters, SocketWorldConfig, DATAPLANE_PROCESS};
+pub use socket::{
+    connect_world, read_growing, socket_counters, SocketWorldConfig, DATAPLANE_PROCESS,
+};
 
 /// Which transport a rank harness runs its communicator groups on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,6 +213,22 @@ impl Backend {
         match self {
             Backend::Local(i) => i.exchange(rank, parts),
             Backend::Socket(g) => g.exchange(rank, parts),
+        }
+    }
+
+    /// The routed exchange reduce-scatters lower to: `parts` holds one part
+    /// per member, and `parts[j]` is delivered to member `j` only. Returns
+    /// the parts addressed to this rank, one per member in member order;
+    /// this rank's own part never leaves it.
+    pub(crate) fn exchange_routed(
+        &self,
+        rank: usize,
+        parts: &[&[f32]],
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        debug_assert_eq!(parts.len(), self.world(), "a routed batch holds one part per member");
+        match self {
+            Backend::Local(i) => i.exchange_routed(rank, parts),
+            Backend::Socket(g) => g.exchange_routed(rank, parts),
         }
     }
 

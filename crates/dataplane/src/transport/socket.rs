@@ -14,9 +14,13 @@
 //! A collective exchange is: every member sends
 //! `Exchange { group, seq, … }` carrying its batch; the hub holds them
 //! until all `world` members of that `(group, seq)` arrived, then answers
-//! each member with every member's batch in member order. All reduction
-//! arithmetic stays rank-side (above the transport), which is what keeps
-//! results bit-identical between transports.
+//! each member in member order — with every member's whole batch (a
+//! broadcast exchange: one reply, encoded once and shared by every
+//! member's writer), or with only the parts addressed to that member (a
+//! routed exchange, which carries one part per member; the sender's own
+//! part travels as an empty placeholder and never crosses the wire). All
+//! reduction arithmetic stays rank-side (above the transport), which is
+//! what keeps results bit-identical between transports.
 //!
 //! # Failure domains
 //!
@@ -143,6 +147,18 @@ impl Write for Stream {
 // ---- frame codec -----------------------------------------------------------
 
 /// Everything that crosses a rank↔hub connection.
+/// How an `Exchange` frame's batch is delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Every member receives every member's whole batch (gathers,
+    /// all-reduces, barriers); answered with a [`Frame::Reply`].
+    Broadcast,
+    /// The batch holds one part per member, and member `j` receives only
+    /// part `j` of every batch (reduce-scatters); answered with a
+    /// [`Frame::RoutedReply`].
+    Routed,
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Frame {
     /// First frame of a connection: this rank's world identity.
@@ -162,6 +178,9 @@ pub(crate) enum Frame {
         world: u64,
         /// This rank's member index within the group.
         member: u64,
+        /// Broadcast (everyone gets the whole batch) or routed (one part
+        /// per member, each delivered only to its member).
+        route: Route,
         /// The deposited batch.
         parts: Parts,
     },
@@ -183,8 +202,8 @@ pub(crate) enum Frame {
     Pong,
     /// Clean goodbye: the peer is leaving on purpose, do not poison.
     Bye,
-    /// Hub → rank: the completed exchange, every member's batch in member
-    /// order.
+    /// Hub → rank: the completed broadcast exchange, every member's batch
+    /// in member order.
     Reply {
         /// Group id the exchange ran on.
         group: u64,
@@ -192,6 +211,17 @@ pub(crate) enum Frame {
         seq: u64,
         /// `all[m]` is member `m`'s batch.
         all: Vec<Parts>,
+    },
+    /// Hub → rank: the completed routed exchange, the parts addressed to
+    /// the receiver in member order (its own is the empty placeholder it
+    /// sent).
+    RoutedReply {
+        /// Group id the exchange ran on.
+        group: u64,
+        /// Sequence number being answered.
+        seq: u64,
+        /// `parts[m]` is member `m`'s part addressed to the receiver.
+        parts: Parts,
     },
     /// Hub → rank: one group is poisoned (member abort).
     GroupPoison {
@@ -257,81 +287,160 @@ fn bad_wire(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Wire size of a batch: the part count, then each part's length and words.
+fn parts_bytes<P: AsRef<[f32]>>(parts: &[P]) -> usize {
+    4 + parts.iter().map(|p| 4 + 4 * p.as_ref().len()).sum::<usize>()
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// One frame under construction in a buffer sized once, up front: the
+/// length prefix (patched by [`FrameBuf::finish`]), the tag, the fields.
+struct FrameBuf {
+    buf: Vec<u8>,
 }
 
-fn put_parts(buf: &mut Vec<u8>, parts: &[Vec<f32>]) {
-    put_u32(buf, parts.len() as u32);
-    for p in parts {
-        put_u32(buf, p.len() as u32);
-        for x in p {
-            put_u32(buf, x.to_bits());
+impl FrameBuf {
+    /// Start a frame with tag `tag` and `body` bytes of fields after it.
+    fn new(tag: u8, body: usize) -> FrameBuf {
+        let mut buf = Vec::with_capacity(5 + body);
+        buf.extend_from_slice(&[0; 4]);
+        buf.push(tag);
+        FrameBuf { buf }
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn err(&mut self, err: CommError) {
+        let (code, arg) = err_to_wire(err);
+        self.buf.push(code);
+        self.u64(arg);
+    }
+
+    /// A batch: the part count, then each part's length and its words,
+    /// written as one block of little-endian bit patterns.
+    fn parts<P: AsRef<[f32]>>(&mut self, parts: &[P]) {
+        self.u32(parts.len() as u32);
+        for p in parts {
+            let p = p.as_ref();
+            self.u32(p.len() as u32);
+            let start = self.buf.len();
+            self.buf.resize(start + 4 * p.len(), 0);
+            for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(p) {
+                dst.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
         }
+    }
+
+    /// Patch the length prefix and hand the frame over.
+    fn finish(mut self) -> Vec<u8> {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        self.buf
     }
 }
 
-fn put_err(buf: &mut Vec<u8>, err: CommError) {
-    let (code, arg) = err_to_wire(err);
-    buf.push(code);
-    put_u64(buf, arg);
+/// Tag of a broadcast `Exchange` frame; a routed one is [`ROUTED_EXCHANGE`].
+const EXCHANGE: u8 = 2;
+/// Tag of a routed `Exchange` frame.
+const ROUTED_EXCHANGE: u8 = 8;
+
+/// Encode an `Exchange` frame straight from borrowed parts.
+pub(crate) fn encode_exchange<P: AsRef<[f32]>>(
+    group: u64,
+    seq: u64,
+    world: u64,
+    member: u64,
+    route: Route,
+    parts: &[P],
+) -> Vec<u8> {
+    let tag = match route {
+        Route::Broadcast => EXCHANGE,
+        Route::Routed => ROUTED_EXCHANGE,
+    };
+    let mut b = FrameBuf::new(tag, 4 * 8 + parts_bytes(parts));
+    b.u64(group);
+    b.u64(seq);
+    b.u64(world);
+    b.u64(member);
+    b.parts(parts);
+    b.finish()
+}
+
+/// Encode a `Reply` frame straight from borrowed batches.
+pub(crate) fn encode_reply<B: AsRef<[P]>, P: AsRef<[f32]>>(
+    group: u64,
+    seq: u64,
+    all: &[B],
+) -> Vec<u8> {
+    let body: usize = all.iter().map(|parts| parts_bytes(parts.as_ref())).sum();
+    let mut b = FrameBuf::new(10, 2 * 8 + 4 + body);
+    b.u64(group);
+    b.u64(seq);
+    b.u32(all.len() as u32);
+    for parts in all {
+        b.parts(parts.as_ref());
+    }
+    b.finish()
+}
+
+/// Tag of a `RoutedReply` frame.
+const ROUTED_REPLY: u8 = 13;
+
+/// Encode a `RoutedReply` frame straight from borrowed parts.
+pub(crate) fn encode_routed_reply<P: AsRef<[f32]>>(group: u64, seq: u64, parts: &[P]) -> Vec<u8> {
+    let mut b = FrameBuf::new(ROUTED_REPLY, 2 * 8 + parts_bytes(parts));
+    b.u64(group);
+    b.u64(seq);
+    b.parts(parts);
+    b.finish()
 }
 
 /// Encode `frame` as one length-prefixed wire message.
 pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut b = vec![0u8; 4]; // length prefix patched below
+    const ERR: usize = 1 + 8;
     match frame {
         Frame::Hello { rank, world } => {
-            b.push(1);
-            put_u64(&mut b, *rank);
-            put_u64(&mut b, *world);
+            let mut b = FrameBuf::new(1, 2 * 8);
+            b.u64(*rank);
+            b.u64(*world);
+            b.finish()
         }
-        Frame::Exchange { group, seq, world, member, parts } => {
-            b.push(2);
-            put_u64(&mut b, *group);
-            put_u64(&mut b, *seq);
-            put_u64(&mut b, *world);
-            put_u64(&mut b, *member);
-            put_parts(&mut b, parts);
+        Frame::Exchange { group, seq, world, member, route, parts } => {
+            encode_exchange(*group, *seq, *world, *member, *route, parts)
         }
         Frame::Abort { group, err } => {
-            b.push(3);
-            put_u64(&mut b, *group);
-            put_err(&mut b, *err);
+            let mut b = FrameBuf::new(3, 8 + ERR);
+            b.u64(*group);
+            b.err(*err);
+            b.finish()
         }
         Frame::Failed { rank } => {
-            b.push(4);
-            put_u64(&mut b, *rank);
+            let mut b = FrameBuf::new(4, 8);
+            b.u64(*rank);
+            b.finish()
         }
-        Frame::Ping => b.push(5),
-        Frame::Pong => b.push(6),
-        Frame::Bye => b.push(7),
-        Frame::Reply { group, seq, all } => {
-            b.push(10);
-            put_u64(&mut b, *group);
-            put_u64(&mut b, *seq);
-            put_u32(&mut b, all.len() as u32);
-            for parts in all {
-                put_parts(&mut b, parts);
-            }
-        }
+        Frame::Ping => FrameBuf::new(5, 0).finish(),
+        Frame::Pong => FrameBuf::new(6, 0).finish(),
+        Frame::Bye => FrameBuf::new(7, 0).finish(),
+        Frame::Reply { group, seq, all } => encode_reply(*group, *seq, all),
+        Frame::RoutedReply { group, seq, parts } => encode_routed_reply(*group, *seq, parts),
         Frame::GroupPoison { group, err } => {
-            b.push(11);
-            put_u64(&mut b, *group);
-            put_err(&mut b, *err);
+            let mut b = FrameBuf::new(11, 8 + ERR);
+            b.u64(*group);
+            b.err(*err);
+            b.finish()
         }
         Frame::WorldPoison { err } => {
-            b.push(12);
-            put_err(&mut b, *err);
+            let mut b = FrameBuf::new(12, ERR);
+            b.err(*err);
+            b.finish()
         }
     }
-    let len = (b.len() - 4) as u32;
-    b[..4].copy_from_slice(&len.to_le_bytes());
-    b
 }
 
 struct Cursor<'a> {
@@ -378,25 +487,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A connection's read buffer starts this large; see [`read_frame`].
+/// A connection's read buffer starts this large; see [`read_growing`].
 const FIRST_READ: usize = 4096;
 
-/// Read one frame off `r`, blocking, and return it with the wire size
-/// consumed (payload + 4-byte prefix) for the receive-byte counters. An EOF
-/// at a frame boundary surfaces as `UnexpectedEof`.
-///
-/// `buf` is the connection's payload buffer, reused across frames: it keeps
-/// the size of the largest frame so far, so steady-state traffic reads
-/// straight into it without allocating. It grows only as bytes arrive — to
-/// at most twice what this frame has delivered, or [`FIRST_READ`] — so a
-/// length prefix alone cannot make the reader allocate [`MAX_FRAME`] bytes.
-pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<(Frame, u64)> {
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(bad_wire(format!("bad frame length {len}")));
-    }
+/// Read exactly `len` bytes of `r` into `buf[..len]`, growing `buf` only as
+/// bytes arrive — to at most twice what has been delivered, or 4 KiB — so a
+/// length prefix alone cannot make the reader allocate `len` bytes. `buf`
+/// is a reusable buffer: it keeps its size across calls, so steady-state
+/// traffic reads straight into it without allocating.
+pub fn read_growing(r: &mut impl Read, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
     let mut filled = 0;
     while filled < len {
         if buf.len() == filled {
@@ -406,15 +505,34 @@ pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Resul
         r.read_exact(&mut buf[filled..end])?;
         filled = end;
     }
+    Ok(())
+}
+
+/// Read one frame off `r`, blocking, and return it with the wire size
+/// consumed (payload + 4-byte prefix) for the receive-byte counters. An EOF
+/// at a frame boundary surfaces as `UnexpectedEof`.
+///
+/// `buf` is the connection's payload buffer, reused across frames and grown
+/// only as bytes arrive ([`read_growing`]), so a length prefix alone cannot
+/// make the reader allocate [`MAX_FRAME`] bytes.
+pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<(Frame, u64)> {
+    let mut len4 = [0u8; 4];
+    r.read_exact(&mut len4)?;
+    let len = u32::from_le_bytes(len4) as usize;
+    if len == 0 || len > MAX_FRAME {
+        return Err(bad_wire(format!("bad frame length {len}")));
+    }
+    read_growing(r, len, buf)?;
     let payload = &buf[..len];
     let mut c = Cursor { buf: payload, pos: 0 };
     let frame = match c.u8()? {
         1 => Frame::Hello { rank: c.u64()?, world: c.u64()? },
-        2 => Frame::Exchange {
+        tag @ (EXCHANGE | ROUTED_EXCHANGE) => Frame::Exchange {
             group: c.u64()?,
             seq: c.u64()?,
             world: c.u64()?,
             member: c.u64()?,
+            route: if tag == EXCHANGE { Route::Broadcast } else { Route::Routed },
             parts: c.parts()?,
         },
         3 => Frame::Abort { group: c.u64()?, err: c.err()? },
@@ -434,6 +552,7 @@ pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Resul
         }
         11 => Frame::GroupPoison { group: c.u64()?, err: c.err()? },
         12 => Frame::WorldPoison { err: c.err()? },
+        ROUTED_REPLY => Frame::RoutedReply { group: c.u64()?, seq: c.u64()?, parts: c.parts()? },
         other => return Err(bad_wire(format!("unknown frame tag {other}"))),
     };
     if c.pos != payload.len() {
@@ -450,8 +569,9 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<
 
 // ---- rank-side endpoint ----------------------------------------------------
 
-/// Where the reader thread delivers one in-flight exchange's outcome.
-type ReplySlot = SyncSender<Result<Vec<Parts>, CommError>>;
+/// Where the reader thread delivers one in-flight exchange's outcome: the
+/// hub's `Reply` or `RoutedReply` frame, or the error that ended it.
+type ReplySlot = SyncSender<Result<Frame, CommError>>;
 
 /// One rank's connection to the hub, shared by every group multiplexed over
 /// it. Holds the pending-exchange table the reader thread resolves into.
@@ -494,12 +614,16 @@ impl Endpoint {
     }
 
     fn send(&self, frame: &Frame) -> Result<(), CommError> {
+        self.send_bytes(&encode_frame(frame))
+    }
+
+    /// Write one encoded frame (see [`encode_frame`], [`encode_exchange`]).
+    fn send_bytes(&self, bytes: &[u8]) -> Result<(), CommError> {
         if let Some(e) = self.failure() {
             return Err(e);
         }
-        let bytes = encode_frame(frame);
         let mut w = lock(&self.writer);
-        match w.write_all(&bytes).and_then(|()| w.flush()) {
+        match w.write_all(bytes).and_then(|()| w.flush()) {
             Ok(()) => {
                 // Sample and record while still holding the writer lock:
                 // otherwise two senders can emit the cumulative tx series
@@ -558,7 +682,11 @@ impl Endpoint {
     /// Poison every currently-registered group (the process-level failure
     /// path). Groups registered afterwards — rebuilds — start fresh.
     fn poison_groups(&self, err: CommError) {
-        for g in lock(&self.groups).values().filter_map(Weak::upgrade) {
+        // Snapshot first: `poison_tree` takes each group's children lock,
+        // and `SocketGroup::child` takes that lock before registering here.
+        let groups: Vec<Arc<SocketGroup>> =
+            lock(&self.groups).values().filter_map(Weak::upgrade).collect();
+        for g in groups {
             g.poison_tree(err);
         }
     }
@@ -623,19 +751,20 @@ fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
             rec.counter(DATAPLANE_PROCESS, &track, &track, total as f64);
         }
         match frame {
-            Frame::Reply { group, seq, all } => {
+            reply @ (Frame::Reply { group, seq, .. } | Frame::RoutedReply { group, seq, .. }) => {
                 let (slot, depth) = {
                     let mut pending = lock(&ep.pending);
                     let slot = pending.remove(&(group, seq));
                     (slot, pending.len())
                 };
                 if let Some(tx) = slot {
-                    let _ = tx.send(Ok(all));
+                    let _ = tx.send(Ok(reply));
                 }
                 ep.note_pending_depth(depth);
             }
             Frame::GroupPoison { group, err } => {
-                if let Some(g) = lock(&ep.groups).get(&group).and_then(Weak::upgrade) {
+                let poisoned = lock(&ep.groups).get(&group).and_then(Weak::upgrade);
+                if let Some(g) = poisoned {
                     g.poison_tree(err);
                 }
                 ep.fail_pending(err, Some(group));
@@ -756,12 +885,54 @@ impl SocketGroup {
         let _ = self.ep.send(&Frame::Failed { rank: rank as u64 });
     }
 
+    /// Drop the reply slot of `seq` from the pending table.
+    fn forget(&self, seq: u64) {
+        let depth = {
+            let mut pending = lock(&self.ep.pending);
+            pending.remove(&(self.id, seq));
+            pending.len()
+        };
+        self.ep.note_pending_depth(depth);
+    }
+
     /// The sequenced exchange over the wire: send this member's batch, wait
     /// (deadline-bounded) for the hub's assembled reply.
     pub(crate) fn exchange(&self, rank: usize, parts: &[&[f32]]) -> Result<Vec<Parts>, CommError> {
-        if let Some(e) = self.failure() {
-            return Err(e);
+        match self.send_and_wait(rank, Route::Broadcast, parts)? {
+            Frame::Reply { all, .. } => Ok(all),
+            _ => Err(CommError::Io { kind: std::io::ErrorKind::InvalidData }),
         }
+    }
+
+    /// The routed exchange over the wire: send each member only its part
+    /// (an empty placeholder for this rank's own, which never crosses the
+    /// wire), wait for the parts addressed to this rank, and put the own
+    /// part back locally.
+    pub(crate) fn exchange_routed(
+        &self,
+        rank: usize,
+        parts: &[&[f32]],
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        let own: &[f32] = &[];
+        let wire: Vec<&[f32]> =
+            parts.iter().enumerate().map(|(j, &p)| if j == rank { own } else { p }).collect();
+        match self.send_and_wait(rank, Route::Routed, &wire)? {
+            Frame::RoutedReply { parts: mut mine, .. } if mine.len() == self.world => {
+                mine[rank] = parts[rank].to_vec();
+                Ok(mine)
+            }
+            _ => Err(CommError::Io { kind: std::io::ErrorKind::InvalidData }),
+        }
+    }
+
+    /// Send one `Exchange` frame and wait (deadline-bounded) for the hub's
+    /// answer to it.
+    fn send_and_wait(
+        &self,
+        rank: usize,
+        route: Route,
+        parts: &[&[f32]],
+    ) -> Result<Frame, CommError> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(1);
         let depth = {
@@ -770,32 +941,27 @@ impl SocketGroup {
             pending.len()
         };
         self.ep.note_pending_depth(depth);
-        let frame = Frame::Exchange {
-            group: self.id,
-            seq,
-            world: self.world as u64,
-            member: rank as u64,
-            parts: parts.iter().map(|p| p.to_vec()).collect(),
-        };
-        if let Err(e) = self.ep.send(&frame) {
-            let depth = {
-                let mut pending = lock(&self.ep.pending);
-                pending.remove(&(self.id, seq));
-                pending.len()
-            };
-            self.ep.note_pending_depth(depth);
+        // Check for failure only once the slot is registered: a poison that
+        // lands after this check finds the slot and resolves it, and one
+        // that landed before it is seen here. Checking first would leave a
+        // window in which a `WorldPoison` resolves nothing and the hub —
+        // which has never seen this (possibly new) group — holds the frame
+        // until the deadline.
+        if let Some(e) = self.failure() {
+            self.forget(seq);
             return Err(e);
         }
+        let bytes = encode_exchange(self.id, seq, self.world as u64, rank as u64, route, parts);
+        if let Err(e) = self.ep.send_bytes(&bytes) {
+            self.forget(seq);
+            return Err(e);
+        }
+        drop(bytes);
         let timeout = self.timeout();
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
-                let depth = {
-                    let mut pending = lock(&self.ep.pending);
-                    pending.remove(&(self.id, seq));
-                    pending.len()
-                };
-                self.ep.note_pending_depth(depth);
+                self.forget(seq);
                 let e = CommError::Timeout { waited: timeout };
                 self.poison_tree(e);
                 // Tell the hub so the peers already waiting on this group
@@ -813,10 +979,26 @@ impl SocketGroup {
     /// Create (or fetch) the child group for `key`. The id is a
     /// deterministic hash of the parent id and the key, so every member's
     /// process derives the same identity with no extra coordination.
+    ///
+    /// A split child of a group that failed after the split's exchange
+    /// completed inherits the failure: the poison may reach this process
+    /// between the exchange and this call, and a child created unpoisoned
+    /// would wait on peers that will never come. The check runs under the
+    /// children lock, so a concurrent [`Self::poison_tree`] either is seen
+    /// here or finds the child. A rebuild starts fresh — that is its point.
     pub(crate) fn child(self: &Arc<Self>, key: ChildKey, world: usize) -> Arc<SocketGroup> {
         let mut children = lock(&self.children);
         Arc::clone(children.entry(key).or_insert_with(|| {
-            SocketGroup::new(child_id(self.id, key), world, self.timeout(), Arc::clone(&self.ep))
+            let child = SocketGroup::new(
+                child_id(self.id, key),
+                world,
+                self.timeout(),
+                Arc::clone(&self.ep),
+            );
+            if let (ChildKey::Split { .. }, Some(err)) = (key, *lock(&self.broken)) {
+                child.poison_tree(err);
+            }
+            child
         }))
     }
 }
@@ -957,7 +1139,16 @@ mod tests {
                 seq: 7,
                 world: 4,
                 member: 2,
+                route: Route::Broadcast,
                 parts: vec![vec![1.0, -2.5, f32::from_bits(0x7fc0_0001)], vec![], vec![0.0]],
+            },
+            Frame::Exchange {
+                group: 42,
+                seq: 8,
+                world: 3,
+                member: 1,
+                route: Route::Routed,
+                parts: vec![vec![0.5], vec![], vec![f32::from_bits(0xffff_ffff), 3.0]],
             },
             Frame::Abort {
                 group: 9,
@@ -968,6 +1159,7 @@ mod tests {
             Frame::Pong,
             Frame::Bye,
             Frame::Reply { group: 1, seq: 0, all: vec![vec![vec![7.25]], vec![]] },
+            Frame::RoutedReply { group: 1, seq: 1, parts: vec![vec![], vec![-0.0, 8.5]] },
             Frame::GroupPoison { group: 2, err: CommError::RankFailed { rank: 1 } },
             Frame::WorldPoison { err: CommError::PeerDisconnected { rank: 0 } },
             Frame::WorldPoison { err: CommError::Io { kind: std::io::ErrorKind::ConnectionReset } },
@@ -991,8 +1183,14 @@ mod tests {
                 .iter()
                 .map(|&b| f32::from_bits(b))
                 .collect();
-        let frame =
-            Frame::Exchange { group: 0, seq: 0, world: 1, member: 0, parts: vec![words.clone()] };
+        let frame = Frame::Exchange {
+            group: 0,
+            seq: 0,
+            world: 1,
+            member: 0,
+            route: Route::Broadcast,
+            parts: vec![words.clone()],
+        };
         let mut r = &encode_frame(&frame)[..];
         match read_frame(&mut r, &mut Vec::new()).unwrap().0 {
             Frame::Exchange { parts, .. } => {
@@ -1033,6 +1231,7 @@ mod tests {
             seq: 2,
             world: 2,
             member: 0,
+            route: Route::Broadcast,
             parts: vec![(0..10_000).map(|i| i as f32).collect()],
         };
         let small = Frame::Hello { rank: 1, world: 2 };

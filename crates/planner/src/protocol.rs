@@ -36,6 +36,7 @@
 //! [`PlanError`].
 
 use mics_core::{Json, ToJson};
+use mics_dataplane::transport::read_growing;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -52,7 +53,9 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Read one frame's payload (blocking).
+/// Read one frame's payload (blocking). The buffer grows as bytes arrive
+/// (`mics_dataplane::transport::read_growing`), so a peer's length prefix
+/// alone cannot make the planner allocate up to [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<String> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -63,8 +66,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<String> {
             format!("bad frame length {len}"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    read_growing(r, len, &mut buf)?;
     String::from_utf8(buf)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
@@ -269,6 +272,29 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), r#"{"type":"stats","id":1}"#);
         assert_eq!(read_frame(&mut r).unwrap(), "x");
         assert!(read_frame(&mut r).is_err(), "stream exhausted");
+    }
+
+    /// Records the largest buffer any `read` call offered.
+    struct Widest<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+    }
+
+    impl Read for Widest<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_does_not_allocate_the_claim() {
+        // The prefix claims MAX_FRAME; 100 bytes follow, then EOF.
+        let mut lie = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        lie.extend_from_slice(&[b'['; 100]);
+        let mut r = Widest { bytes: &lie, widest: 0 };
+        assert!(read_frame(&mut r).is_err(), "short body must fail");
+        assert!(r.widest <= 4096, "read into a {} byte buffer for 100 bytes", r.widest);
     }
 
     #[test]

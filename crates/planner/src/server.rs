@@ -805,6 +805,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_are_bad_requests() {
+        // A million open brackets fit in one frame; parsing them must not
+        // recurse a million deep (that aborts the whole daemon).
+        let server = PlannerServer::start(PlannerConfig::default()).unwrap();
+        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let e = request(&mut c, &"[".repeat(1_000_000));
+        assert_eq!(e.get("code").and_then(Json::as_str), Some("BadRequest"), "{e:?}");
+        assert!(e.get("message").and_then(Json::as_str).unwrap().contains("nesting"));
+        // The connection still serves.
+        let e = request(&mut c, r#"{"type":"frobnicate","id":1}"#);
+        assert_eq!(e.get("code").and_then(Json::as_str), Some("BadRequest"));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
     fn zero_deadline_rejects_before_simulating() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
         let mut c = PlanStream::connect(server.addr()).unwrap();

@@ -13,6 +13,14 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# A world poison that raced a new sub-group's first socket exchange used to
+# resolve nothing, leaving the rank to wait out its whole deadline. The race
+# shows only under repetition, so its test runs 20 times (~0.1 s a run).
+echo "==> failure_poisons_sub_communicators x20"
+for _ in $(seq 20); do
+    cargo test -q -p mics-dataplane --lib -- --exact tests::failure_poisons_sub_communicators >/dev/null
+done
+
 # perfbench is a package of its own (outside the workspace), so the
 # workspace run above does not reach its tests.
 echo "==> cargo test -q --manifest-path perfbench/Cargo.toml"

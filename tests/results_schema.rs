@@ -325,6 +325,54 @@ fn bench_kernels_artifact_matches_its_claims() {
     }
 }
 
+/// The wire microbenchmark records every collective on both transports at
+/// the same three sizes — the largest the `train_wire` gradient — with a
+/// positive median, a spread and one host fingerprint. Timings are only
+/// recorded (they are host-bound), so nothing here compares them.
+#[test]
+fn bench_wire_artifact_matches_its_schema() {
+    let doc = parse(&results_dir().join("BENCH_wire.json"));
+    let headers: Vec<&str> = doc
+        .get("headers")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|h| h.as_str().unwrap())
+        .collect();
+    assert_eq!(
+        headers,
+        ["collective", "transport", "floats", "median_ns", "mad_ns", "nproc", "simd"]
+    );
+    let rows: Vec<Vec<&str>> = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| r.as_arr().unwrap().iter().map(|c| c.as_str().unwrap()).collect())
+        .collect();
+    let num =
+        |cell: &str| -> f64 { cell.parse().unwrap_or_else(|_| panic!("not a number: {cell}")) };
+    let mut sizes = std::collections::BTreeMap::<(&str, &str), Vec<u64>>::new();
+    for row in &rows {
+        assert!(num(row[3]) > 0.0 && num(row[4]) >= 0.0, "{row:?}");
+        assert_eq!(&row[5..], &rows[0][5..], "one host fingerprint per artifact");
+        assert!(num(row[5]) >= 1.0 && ["true", "false"].contains(&row[6]), "{row:?}");
+        sizes.entry((row[0], row[1])).or_default().push(row[2].parse().unwrap());
+    }
+    let want: Vec<(&str, &str)> = ["all_gather", "reduce_scatter_fp32", "reduce_scatter_int8"]
+        .iter()
+        .flat_map(|&op| [(op, "local"), (op, "socket")])
+        .collect();
+    assert_eq!(
+        sizes.keys().copied().collect::<std::collections::BTreeSet<_>>(),
+        want.into_iter().collect()
+    );
+    let first = sizes.values().next().unwrap().clone();
+    assert_eq!(first.len(), 3, "three sizes");
+    assert!(sizes.values().all(|s| *s == first), "every collective at the same sizes");
+    assert!(first.iter().any(|&n| n > 500_000), "the train_wire gradient is a size");
+}
+
 /// The isoFLOP-sweep artifact backs its claims: ≥ 3 budgets, each with a
 /// U-shaped eval-loss curve (interior argmin in the rows *and* an interior
 /// convex parabola minimum in the fit), budget-optimal size and tokens
